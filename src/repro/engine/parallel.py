@@ -62,6 +62,7 @@ import time
 import traceback
 from typing import Any, Iterable, Mapping, Sequence
 
+from ..analysis.dependence import DependenceGraph
 from ..data.columnar import note_pool_started, note_pool_stopped, symbol_table
 from ..data.database import Database
 from ..errors import ReproError, ResourceLimitExceeded, UnsafeRuleError, WorkerCrashError
@@ -79,10 +80,10 @@ from ..resilience.governor import (
 )
 from .compile import SRC_DELTA, KernelCache, cardinality_hint_provider
 from .fixpoint import EvaluationResult, get_engine
-from .joins import delta_variant_positions, fire_rule
-from .seminaive import _fire_rule_compiled, seminaive_fixpoint
+from .joins import delta_variant_positions
+from .seminaive import _fire_rule_compiled, fire_seeds, seminaive_fixpoint
 from .stats import EvaluationStats
-from .stratified import stratify
+from .stratified import saturate_stratum, stratify
 
 #: Environment override for the multiprocessing start method ("fork" or
 #: "spawn"); the default prefers fork where the platform offers it.
@@ -388,9 +389,6 @@ class _WorkerState:
         started = time.perf_counter()
         current = _import_rows(self.backend, facts)
         shipped = {pred: set(map(tuple, rows)) for pred, rows in facts.items()}
-        rules = [self.program.rules[i] for i in rule_indices]
-        positive = [r for r in rules if r.is_positive]
-        negated = [r for r in rules if not r.is_positive]
         governor = None
         if any(limits.get(k) is not None for k in ("deadline_s", "max_facts", "max_rounds")):
             governor = ResourceGovernor(
@@ -403,32 +401,15 @@ class _WorkerState:
             )
         stats = EvaluationStats()
         report = None
+        kernels = KernelCache(
+            self.program.rules,
+            current,
+            hint_provider=cardinality_hint_provider(self.program, current),
+        )
         try:
-            changed = True
-            while changed and report is None:
-                changed = False
-                if positive:
-                    result = seminaive_fixpoint(Program(positive), current, governor)
-                    stats.merge(result.stats)
-                    if result.is_partial:
-                        current = result.database
-                        report = result.degradation.to_dict()
-                        break
-                    if len(result.database) > len(current):
-                        changed = True
-                    current = result.database
-                for rule in negated:
-                    if governor is not None:
-                        governor.tick()
-                    derived = fire_rule(
-                        current, rule.head, rule.body, stats=stats, governor=governor
-                    )
-                    for atom in derived:
-                        if current.add(atom):
-                            stats.facts_derived += 1
-                            if governor is not None:
-                                governor.add_facts(1)
-                            changed = True
+            saturate_stratum(
+                self.program.rules, rule_indices, current, stats, kernels, governor
+            )
         except ResourceLimitExceeded as error:
             report = error.report.to_dict()
         derived_out: dict[str, list[tuple]] = {}
@@ -692,12 +673,8 @@ def _sharded_fixpoint(
         delta = db.copy()
         snapshot = full.empty_like()
         stats.iterations += 1
-        for rule_index in rule_indices:
-            rule = program.rules[rule_index]
-            if rule.is_fact:
-                if full.add(rule.head):
-                    stats.facts_derived += 1
-                    delta.add(rule.head)
+        for atom in fire_seeds(program.rules, rule_indices, full, stats):
+            delta.add(atom)
 
     pool.begin(_export_rows(snapshot), rule_indices)
     router = ShardRouter(program, full, rule_indices)
@@ -824,63 +801,6 @@ def parallel_seminaive_fixpoint(
 # ---------------------------------------------------------------------------
 # SCC waves (inter-stratum parallelism)
 # ---------------------------------------------------------------------------
-def _dependence_sccs(program: Program) -> list[tuple[str, ...]]:
-    """SCCs of the IDB dependence graph, in deterministic order."""
-    idb = sorted(program.idb_predicates)
-    edges: dict[str, set[str]] = {pred: set() for pred in idb}
-    for rule in program.rules:
-        head = rule.head.predicate
-        for literal in rule.body:
-            if literal.predicate in edges:
-                edges[literal.predicate].add(head)
-    # Iterative Tarjan over the deterministic node/edge order.
-    index_of: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: dict[str, bool] = {}
-    stack: list[str] = []
-    sccs: list[tuple[str, ...]] = []
-    counter = [0]
-
-    for start in idb:
-        if start in index_of:
-            continue
-        work = [(start, iter(sorted(edges[start])))]
-        index_of[start] = low[start] = counter[0]
-        counter[0] += 1
-        stack.append(start)
-        on_stack[start] = True
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in index_of:
-                    index_of[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack[succ] = True
-                    work.append((succ, iter(sorted(edges[succ]))))
-                    advanced = True
-                    break
-                if on_stack.get(succ):
-                    low[node] = min(low[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index_of[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(tuple(sorted(component)))
-    return sccs
-
-
 def scc_waves(program: Program) -> list[list[tuple[str, ...]]]:
     """SCCs grouped into longest-path waves over the condensation.
 
@@ -890,39 +810,25 @@ def scc_waves(program: Program) -> list[list[tuple[str, ...]]]:
     before they are read (the program must be stratifiable -- callers
     run :func:`~repro.engine.stratified.stratify` first).
     """
-    sccs = _dependence_sccs(program)
-    scc_of: dict[str, int] = {}
-    for scc_index, component in enumerate(sccs):
-        for pred in component:
-            scc_of[pred] = scc_index
-    preds_of: dict[int, set[int]] = {i: set() for i in range(len(sccs))}
+    idb = program.idb_predicates
+    # Topological order: every SCC's predecessors come before it.
+    sccs = [
+        tuple(sorted(component))
+        for component in DependenceGraph(program).condensation_order()
+        if component <= idb
+    ]
+    scc_of = {pred: index for index, component in enumerate(sccs) for pred in component}
+    preds_of: list[set[int]] = [set() for _ in sccs]
     for rule in program.rules:
         head_scc = scc_of[rule.head.predicate]
         for literal in rule.body:
             body_scc = scc_of.get(literal.predicate)
             if body_scc is not None and body_scc != head_scc:
                 preds_of[head_scc].add(body_scc)
-    level: dict[int, int] = {}
-
-    def resolve(scc_index: int) -> int:
-        pending = [scc_index]
-        while pending:
-            node = pending[-1]
-            if node in level:
-                pending.pop()
-                continue
-            unresolved = [p for p in preds_of[node] if p not in level]
-            if unresolved:
-                pending.extend(unresolved)
-                continue
-            level[node] = 1 + max((level[p] for p in preds_of[node]), default=-1)
-            pending.pop()
-        return level[scc_index]
-
-    depth = 0
-    for scc_index in range(len(sccs)):
-        depth = max(depth, resolve(scc_index))
-    waves: list[list[tuple[str, ...]]] = [[] for _ in range(depth + 1)]
+    level: list[int] = []
+    for preds in preds_of:
+        level.append(1 + max((level[p] for p in preds), default=-1))
+    waves: list[list[tuple[str, ...]]] = [[] for _ in range(max(level, default=0) + 1)]
     for scc_index, component in enumerate(sccs):
         waves[level[scc_index]].append(component)
     for wave in waves:
@@ -1016,8 +922,17 @@ def parallel_stratified(
                 if not tasks:
                     continue
                 if len(tasks) == 1:
-                    current, degradation = _run_wave_on_master(
-                        pool, program, tasks[0], current, governor, stats, wave_index
+                    # One SCC: its rules, with or without negation, run as
+                    # one sharded fixpoint (lower waves are complete).
+                    current, degradation = _sharded_fixpoint(
+                        pool,
+                        program,
+                        tasks[0],
+                        current,
+                        governor,
+                        stats,
+                        engine="stratified",
+                        stratum=wave_index,
                     )
                 else:
                     registry.increment("parallel.scc_tasks", len(tasks))
@@ -1035,59 +950,6 @@ def parallel_stratified(
     stats.stop()
     stats.elapsed = max(stats.elapsed, 0.0)
     return EvaluationResult(current, stats, status=status, degradation=degradation)
-
-
-def _run_wave_on_master(
-    pool: WorkerPool,
-    program: Program,
-    rule_indices: Sequence[int],
-    current: Database,
-    governor: ResourceGovernor | None,
-    stats: EvaluationStats,
-    wave_index: int,
-) -> tuple[Database, DegradationReport | None]:
-    """One single-SCC wave: serial stratum loop, sharded positive rules."""
-    positive = [i for i in rule_indices if program.rules[i].is_positive]
-    negated = [i for i in rule_indices if not program.rules[i].is_positive]
-    changed = True
-    while changed:
-        changed = False
-        if positive:
-            before = len(current)
-            sub_stats = EvaluationStats(engine="seminaive")
-            sub_stats.start()
-            result_db, report = _sharded_fixpoint(
-                pool,
-                program,
-                positive,
-                current,
-                governor,
-                sub_stats,
-                engine="stratified",
-                stratum=wave_index,
-            )
-            sub_stats.stop()
-            stats.merge(sub_stats)
-            current = result_db
-            if report is not None:
-                return current, report
-            if len(current) > before:
-                changed = True
-        for rule_index in negated:
-            rule = program.rules[rule_index]
-            if governor is not None:
-                governor.note(rule_index=rule_index)
-                governor.tick()
-            derived = fire_rule(
-                current, rule.head, rule.body, stats=stats, governor=governor
-            )
-            for atom in derived:
-                if current.add(atom):
-                    stats.facts_derived += 1
-                    if governor is not None:
-                        governor.add_facts(1)
-                    changed = True
-    return current, None
 
 
 def _run_wave_on_workers(

@@ -26,17 +26,29 @@ testing.
 In the first round the delta is the entire input database (snapshot
 ``F_0 = ∅``), which makes initial IDB facts (Section III's generalized
 inputs) participate correctly.
+
+The round loop itself is :func:`saturate`, the one loop every serial
+engine shares: :func:`seminaive_fixpoint` runs it over a whole positive
+program, :func:`~repro.engine.stratified.evaluate_stratified` once per
+stratum, and the parallel engine's SCC tasks once per task.  It takes
+rules with negated literals too: only positive literals get delta
+variants, and a negated literal is a membership check on the full
+database, which is sound when the relation it names is complete before
+the loop starts.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Sequence
 
 from ..data.database import Database
 from ..errors import ResourceLimitExceeded, UnsafeRuleError
 from ..lang.atoms import Atom
 from ..lang.programs import Program
+from ..lang.rules import Rule
 from ..obs.tracer import trace
 from ..resilience.governor import EvaluationStatus, ResourceGovernor
-from .compile import KernelCache, cardinality_hint_provider
+from .compile import KernelCache, cardinality_hint_provider, compile_kernel
 from .fixpoint import EvaluationResult
 from .joins import delta_variant_positions, fire_rule, plan_order
 from .stats import EvaluationStats
@@ -77,17 +89,10 @@ def seminaive_fixpoint(
         )
     stats = EvaluationStats(engine="seminaive")
     stats.start()
+    every_rule = range(len(program.rules))
     full = db.copy()
     status = EvaluationStatus.COMPLETE
     degradation = None
-    #: (rule, delta position) -> cached join order (reference path).
-    plans: dict[tuple[int, int], list[int]] = {}
-    #: Per rule: the body positions that need their own delta variant
-    #: (symmetric redundant-atom positions collapse to the first).
-    variants = [
-        () if rule.is_fact else delta_variant_positions(rule.head, rule.body)
-        for rule in program.rules
-    ]
     kernels = (
         KernelCache(
             program.rules, full, hint_provider=cardinality_hint_provider(program, full)
@@ -120,49 +125,12 @@ def seminaive_fixpoint(
                 delta = db.copy()
                 snapshot = full.empty_like()
                 stats.iterations += 1
-                for rule in program.rules:
-                    if rule.is_fact:
-                        if full.add(rule.head):
-                            stats.facts_derived += 1
-                            delta.add(rule.head)
+                for atom in fire_seeds(program.rules, every_rule, full, stats):
+                    delta.add(atom)
 
-            while delta:
-                stats.iterations += 1
-                if governor is not None:
-                    governor.checkpoint(full, round=stats.iterations, delta=delta)
-                with trace(
-                    "seminaive.iteration", index=stats.iterations, delta=len(delta)
-                ) as iteration:
-                    iteration.watch(stats)
-                    new_delta = full.empty_like()
-                    for rule_index, rule in enumerate(program.rules):
-                        if rule.is_fact:
-                            continue
-                        if governor is not None:
-                            governor.note(rule_index=rule_index)
-                            governor.tick()
-                        with trace("seminaive.rule", rule=rule_index) as span:
-                            span.watch(stats)
-                            if kernels is not None:
-                                derived = _fire_rule_compiled(
-                                    rule, kernels, rule_index, full, delta,
-                                    snapshot, stats, governor,
-                                    variants[rule_index],
-                                )
-                            else:
-                                derived = _fire_rule_seminaive(
-                                    rule.head, rule, full, delta, stats, plans,
-                                    rule_index, governor, variants[rule_index],
-                                )
-                            for atom in derived:
-                                if atom not in full and atom not in new_delta:
-                                    new_delta.add(atom)
-                    snapshot.update(delta)
-                    added = full.update(new_delta)
-                    stats.facts_derived += added
-                    if governor is not None:
-                        governor.add_facts(added)
-                    delta = new_delta
+            saturate(
+                program.rules, every_rule, full, delta, snapshot, stats, kernels, governor
+            )
         except ResourceLimitExceeded as error:
             status = EvaluationStatus.PARTIAL
             degradation = error.report
@@ -173,16 +141,120 @@ def seminaive_fixpoint(
     return EvaluationResult(full, stats, status=status, degradation=degradation)
 
 
+def fire_seeds(
+    rules: Sequence[Rule],
+    rule_indices: Iterable[int],
+    full: Database,
+    stats: EvaluationStats,
+    governor: ResourceGovernor | None = None,
+) -> list[Atom]:
+    """Fire once the selected rules that have no positive body literal.
+
+    Facts and ground rules such as ``P(1) :- not Q(1).`` have no delta
+    variant, so :func:`saturate` never fires them; callers run this
+    before the first round.  Returns the atoms it added to *full*.
+    """
+    added: list[Atom] = []
+    for index in rule_indices:
+        rule = rules[index]
+        if any(lit.positive for lit in rule.body):
+            continue
+        heads = (
+            (rule.head,)
+            if rule.is_fact
+            else compile_kernel(rule.head, rule.body, full).run(
+                full, stats=stats, governor=governor
+            )
+        )
+        for head in heads:
+            if full.add(head):
+                stats.facts_derived += 1
+                added.append(head)
+    return added
+
+
+def saturate(
+    rules: Sequence[Rule],
+    rule_indices: Iterable[int],
+    full: Database,
+    delta: Database,
+    snapshot: Database,
+    stats: EvaluationStats,
+    kernels: KernelCache | None = None,
+    governor: ResourceGovernor | None = None,
+) -> None:
+    """Run semi-naive rounds of ``rules[i]`` (*rule_indices*) to saturation.
+
+    The one round loop every serial engine shares.  It works in place:
+    each round fires every delta variant of every selected non-fact
+    rule, then commits the new facts to *full* and *snapshot*; it stops
+    when a round derives nothing new.  On entry, *full* must equal
+    ``snapshot ⊎ delta`` on every predicate a selected rule reads
+    positively.  Other predicates are only probed: negated literals
+    read *full*, which is sound when they name relations that are
+    complete before the call (stratification guarantees this).
+
+    *kernels* (a :class:`KernelCache` over *rules* and *full*) selects
+    the compiled path; ``None`` runs the ``fire_rule`` reference path.
+    A tripped *governor* raises :class:`ResourceLimitExceeded` with
+    *full* holding every round committed before the trip.
+    """
+    #: Per rule: the body positions that need their own delta variant
+    #: (symmetric redundant-atom positions collapse to the first).  Rules
+    #: without a positive literal have none and are left to fire_seeds.
+    variants: dict[int, tuple[int, ...]] = {}
+    for index in rule_indices:
+        positions = delta_variant_positions(rules[index].head, rules[index].body)
+        if positions:
+            variants[index] = positions
+    #: (rule, delta position) -> cached join order (reference path).
+    plans: dict[tuple[int, int], list[int]] = {}
+    while delta:
+        stats.iterations += 1
+        if governor is not None:
+            governor.checkpoint(full, round=stats.iterations, delta=delta)
+        with trace(
+            "seminaive.iteration", index=stats.iterations, delta=len(delta)
+        ) as iteration:
+            iteration.watch(stats)
+            new_delta = full.empty_like()
+            for rule_index, positions in variants.items():
+                rule = rules[rule_index]
+                if governor is not None:
+                    governor.note(rule_index=rule_index)
+                    governor.tick()
+                with trace("seminaive.rule", rule=rule_index) as span:
+                    span.watch(stats)
+                    if kernels is not None:
+                        derived = _fire_rule_compiled(
+                            rule, kernels, rule_index, full, delta,
+                            snapshot, stats, governor, positions,
+                        )
+                    else:
+                        derived = _fire_rule_seminaive(
+                            rule, full, delta, stats, plans,
+                            rule_index, governor, positions,
+                        )
+                    for atom in derived:
+                        if atom not in full and atom not in new_delta:
+                            new_delta.add(atom)
+            snapshot.update(delta)
+            added = full.update(new_delta)
+            stats.facts_derived += added
+            if governor is not None:
+                governor.add_facts(added)
+            delta = new_delta
+
+
 def _fire_rule_seminaive(
-    head: Atom,
-    rule,
+    rule: Rule,
     full: Database,
     delta: Database,
     stats: EvaluationStats,
     plans: dict[tuple[int, int], list[int]],
     rule_index: int,
-    governor: ResourceGovernor | None = None,
-    positions: tuple[int, ...] | None = None,
+    governor: ResourceGovernor | None,
+    positions: tuple[int, ...],
 ) -> set[Atom]:
     """Union of the rule's delta-variants (reference path).
 
@@ -191,21 +263,16 @@ def _fire_rule_seminaive(
     compiled path's snapshot discipline eliminates those duplicates.
     """
     derived: set[Atom] = set()
-    body = rule.body
-    head_vars = frozenset(head.variables())
-    if positions is None:
-        positions = delta_variant_positions(head, body)
+    head, body = rule.head, rule.body
     for position in positions:
-        literal = body[position]
-        if delta.count(literal.predicate) == 0:
+        if delta.count(body[position].predicate) == 0:
             continue
         key = (rule_index, position)
         order = plans.get(key)
         if order is None:
-            order = plan_order(
-                body, full, prefer_vars=head_vars, first=position
+            order = plans[key] = plan_order(
+                body, full, prefer_vars=frozenset(head.variables()), first=position
             )
-            plans[key] = order
         derived.update(
             fire_rule(
                 full,
@@ -221,7 +288,7 @@ def _fire_rule_seminaive(
 
 
 def _fire_rule_compiled(
-    rule,
+    rule: Rule,
     kernels: KernelCache,
     rule_index: int,
     full: Database,
@@ -229,20 +296,17 @@ def _fire_rule_compiled(
     snapshot: Database,
     stats: EvaluationStats,
     governor: ResourceGovernor | None,
-    positions: tuple[int, ...] | None = None,
+    positions: tuple[int, ...],
 ) -> set[Atom]:
     """Union of the rule's delta-variants under the textbook discipline."""
     derived: set[Atom] = set()
-    if positions is None:
-        positions = delta_variant_positions(rule.head, rule.body)
     for position in positions:
-        literal = rule.body[position]
-        if delta.count(literal.predicate) == 0:
+        if delta.count(rule.body[position].predicate) == 0:
             continue
-        if position and not snapshot:
-            # First round: the snapshot F_0 is empty, so any variant
-            # with a (positive) body literal before the delta position
-            # cannot match -- only the position-0 variant can fire.
+        if not snapshot and any(lit.positive for lit in rule.body[:position]):
+            # First round: the snapshot F_0 is empty, so a variant with
+            # a positive body literal before the delta position cannot
+            # match (negated literals read the full database instead).
             continue
         derived.update(
             kernels.kernel(rule_index, position).run(

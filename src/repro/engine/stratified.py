@@ -11,19 +11,29 @@ A program is stratifiable iff no cycle of its dependence graph contains
 a negative edge.  Strata are computed by a longest-path style fixpoint:
 ``stratum(head) >= stratum(body predicate)`` for positive dependencies
 and strictly greater for negative ones.
+
+Evaluation copies the input once and hands each stratum's rules, with
+or without negation, to the shared round loop
+:func:`~repro.engine.seminaive.saturate`.  A negated literal only names
+relations of strictly lower strata, which are complete before the
+stratum starts, so it is just a membership check on the working
+database inside the join.  Each stratum's first delta holds only the
+relations its rules read positively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..data.database import Database
 from ..errors import ResourceLimitExceeded, StratificationError
 from ..lang.programs import Program
+from ..lang.rules import Rule
 from ..resilience.governor import EvaluationStatus, ResourceGovernor
+from .compile import KernelCache, cardinality_hint_provider
 from .fixpoint import EvaluationResult
-from .seminaive import seminaive_fixpoint
-from .joins import fire_rule
+from .seminaive import fire_seeds, saturate
 from .stats import EvaluationStats
 
 
@@ -76,7 +86,7 @@ def evaluate_stratified(
 ) -> EvaluationResult:
     """Compute the perfect model of a stratified program over *db*.
 
-    Each stratum is evaluated to fixpoint with the semi-naive engine;
+    Each stratum is evaluated to fixpoint by one semi-naive round loop;
     negated literals consult the database computed by lower strata,
     which is complete by the time they are read.
 
@@ -90,7 +100,11 @@ def evaluate_stratified(
     stratification = stratify(program)
     stats = EvaluationStats(engine="stratified")
     stats.start()
-    current = db.copy()
+    rules = program.rules
+    full = db.copy()
+    kernels = KernelCache(
+        rules, full, hint_provider=cardinality_hint_provider(program, full)
+    )
     status = EvaluationStatus.COMPLETE
     degradation = None
     try:
@@ -99,51 +113,50 @@ def evaluate_stratified(
         for stratum_index, layer in enumerate(stratification.layers):
             if governor is not None:
                 governor.note(stratum=stratum_index)
-                governor.checkpoint(current)
-            layer_rules = [r for r in program.rules if r.head.predicate in layer]
-            positive = [r for r in layer_rules if r.is_positive]
-            negated = [r for r in layer_rules if not r.is_positive]
-            # Rules with negation in this stratum only negate lower strata
-            # (guaranteed by stratification), so their negated subgoals are
-            # already final; iterate them together with the positive ones
-            # until the stratum is saturated.
-            changed = True
-            while changed:
-                changed = False
-                if positive:
-                    result = seminaive_fixpoint(Program(positive), current, governor)
-                    stats.merge(result.stats)
-                    if result.is_partial:
-                        # The sub-fixpoint already degraded gracefully;
-                        # propagate its report and stop deriving.
-                        current = result.database
-                        status = EvaluationStatus.PARTIAL
-                        degradation = result.degradation
-                        raise _StratumInterrupted()
-                    if len(result.database) > len(current):
-                        changed = True
-                    current = result.database
-                for rule in negated:
-                    if governor is not None:
-                        governor.tick()
-                    derived = fire_rule(
-                        current, rule.head, rule.body, stats=stats, governor=governor
-                    )
-                    for atom in derived:
-                        if current.add(atom):
-                            stats.facts_derived += 1
-                            if governor is not None:
-                                governor.add_facts(1)
-                            changed = True
-    except _StratumInterrupted:
-        pass
+            saturate_stratum(
+                rules,
+                [i for i, rule in enumerate(rules) if rule.head.predicate in layer],
+                full,
+                stats,
+                kernels,
+                governor,
+            )
     except ResourceLimitExceeded as error:
         status = EvaluationStatus.PARTIAL
         degradation = error.report
     stats.stop()
-    stats.elapsed = max(stats.elapsed, 0.0)
-    return EvaluationResult(current, stats, status=status, degradation=degradation)
+    return EvaluationResult(full, stats, status=status, degradation=degradation)
 
 
-class _StratumInterrupted(Exception):
-    """Internal control flow: a governed sub-fixpoint returned PARTIAL."""
+def saturate_stratum(
+    rules: Sequence[Rule],
+    rule_indices: Sequence[int],
+    full: Database,
+    stats: EvaluationStats,
+    kernels: KernelCache,
+    governor: ResourceGovernor | None = None,
+) -> None:
+    """Bring one stratum's rules to saturation in place on *full*.
+
+    Every relation the rules negate must already be complete in *full*.
+    The first delta holds only the relations the rules read positively
+    (initial facts of the stratum's own predicates included), so no
+    other relation is copied.
+    """
+    fire_seeds(rules, rule_indices, full, stats, governor)
+    read = {
+        literal.predicate
+        for index in rule_indices
+        for literal in rules[index].body
+        if literal.positive
+    }
+    saturate(
+        rules,
+        rule_indices,
+        full,
+        full.restrict_to(read),
+        full.empty_like(),
+        stats,
+        kernels,
+        governor,
+    )

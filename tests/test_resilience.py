@@ -19,6 +19,7 @@ from repro.resilience import (
     ResourceGovernor,
     RetryPolicy,
 )
+from tests.test_stratified import NEGATION_CASES, facts_db
 
 TC = parse_program(
     """
@@ -144,6 +145,25 @@ class TestGovernedQueryEngines:
         )
         assert governed.is_partial
         assert set(governed.database.atoms()) <= set(full.atoms())
+        # Every round cap short of the full run stops inside some stratum
+        # and keeps a subset of the perfect model.
+        cases = [(program, edb)] + [
+            (parse_program(source), facts_db(facts))
+            for _name, source, facts, _model in NEGATION_CASES
+        ]
+        for program, edb in cases:
+            full = evaluate(program, edb, engine="stratified")
+            rounds = full.stats.iterations
+            assert rounds > 1
+            for max_rounds in range(1, rounds + 1):
+                governed = evaluate(
+                    program,
+                    edb,
+                    engine="stratified",
+                    governor=ResourceGovernor(max_rounds=max_rounds),
+                )
+                assert governed.is_partial == (max_rounds < rounds)
+                assert set(governed.database.atoms()) <= set(full.database.atoms())
 
 
 class TestIncrementalTransactionality:

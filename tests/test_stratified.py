@@ -4,10 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database, evaluate, evaluate_stratified, parse_program
+from repro import Database, Program, evaluate, evaluate_stratified, parse_program
 from repro.engine.stratified import stratify
 from repro.errors import StratificationError
 from repro.lang import Atom
+
+
+BACKENDS = ("rows", "columnar")
+
+
+def facts_db(facts, backend="rows"):
+    db = Database(backend=backend)
+    for pred, rows in facts.items():
+        for row in rows:
+            db.add_fact(pred, *row)
+    return db
 
 
 class TestStratify:
@@ -65,9 +76,15 @@ class TestStratify:
 
 class TestEvaluateStratified:
     def test_matches_positive_engine_on_positive_program(self, tc, ex2_edb):
-        stratified = evaluate_stratified(tc, ex2_edb).database
-        positive = evaluate(tc, ex2_edb).database
-        assert stratified == positive
+        """Same model and the same work: each stratum saturates once."""
+        for backend in BACKENDS:
+            db = Database(backend=backend)
+            db.update(ex2_edb)
+            stratified = evaluate_stratified(tc, db)
+            positive = evaluate(tc, db)
+            assert stratified.database == positive.database
+            assert stratified.stats.rule_firings == positive.stats.rule_firings
+            assert stratified.stats.facts_derived == positive.stats.facts_derived
 
     def test_unreachable_pairs(self):
         program = parse_program(
@@ -131,3 +148,115 @@ class TestEvaluateStratified:
         before = len(db)
         evaluate_stratified(program, db)
         assert len(db) == before
+
+
+#: ``(name, program, input facts, expected perfect model of the IDB)``:
+#: a negated rule feeding a recursive rule of its own stratum, initial
+#: facts for IDB predicates on both sides of a negation, and three
+#: chained strata with a ground negated rule.
+NEGATION_CASES = (
+    (
+        "negation-feeds-recursion",
+        """
+        Q(x) :- Mark(x).
+        P(x) :- Node(x), not Q(x).
+        P(y) :- P(x), E(x, y).
+        """,
+        {
+            "Node": [(1,), (2,), (3,), (4,), (5,)],
+            "Mark": [(1,), (2,), (3,)],
+            "E": [(4, 1), (1, 2), (5, 5)],
+        },
+        {"Q": {(1,), (2,), (3,)}, "P": {(1,), (2,), (4,), (5,)}},
+    ),
+    (
+        "initial-idb-facts",
+        """
+        R(x) :- S(x).
+        R(y) :- R(x), E(x, y).
+        U(x) :- Node(x), not R(x).
+        U(y) :- U(x), F(x, y).
+        """,
+        {
+            "S": [(1,)],
+            "E": [(1, 2), (9, 10)],
+            "Node": [(i,) for i in (1, 2, 3, 4, 5, 6, 9, 10, 11)],
+            "F": [(7, 8), (3, 11)],
+            "R": [(9,)],
+            "U": [(7,)],
+        },
+        {
+            "R": {(1,), (2,), (9,), (10,)},
+            "U": {(3,), (4,), (5,), (6,), (7,), (8,), (11,)},
+        },
+    ),
+    (
+        "three-strata",
+        """
+        A(x) :- Base(x).
+        A(y) :- A(x), E(x, y).
+        B(x) :- Node(x), not A(x).
+        B(y) :- B(x), F(x, y).
+        C(x) :- Node(x), not B(x).
+        C(9) :- not A(9).
+        """,
+        {
+            "Base": [(1,)],
+            "E": [(1, 2), (2, 3)],
+            "Node": [(i,) for i in range(1, 7)],
+            "F": [(4, 5), (5, 1)],
+        },
+        {
+            "A": {(1,), (2,), (3,)},
+            "B": {(1,), (4,), (5,), (6,)},
+            "C": {(2,), (3,), (9,)},
+        },
+    ),
+)
+
+
+class TestStratumShapes:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "source,facts,expected",
+        [case[1:] for case in NEGATION_CASES],
+        ids=[case[0] for case in NEGATION_CASES],
+    )
+    def test_perfect_model(self, source, facts, expected, backend):
+        program = parse_program(source)
+        out = evaluate(program, facts_db(facts, backend), engine="stratified").database
+        model = {pred: set() for pred in expected}
+        for atom in out.atoms():
+            if atom.predicate in model:
+                model[atom.predicate].add(tuple(term.value for term in atom.args))
+        assert model == expected
+        assert set(facts_db(facts).atoms()) <= set(out.atoms())
+
+
+REACH_UNREACHED = parse_program(
+    """
+    Reach(x) :- S(x).
+    Reach(y) :- Reach(x), A(x, y).
+    Unreached(x) :- Node(x), not Reach(x).
+    """
+)
+
+
+def reach_db(backend):
+    facts = {
+        "S": [(0,)],
+        "A": [(i, i + 1) for i in range(12)] + [(20, 21), (21, 20)],
+        "Node": [(i,) for i in range(25)],
+    }
+    return facts_db(facts, backend)
+
+
+class TestOneRoundLoop:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_negated_rule_fires_once_per_fact(self, backend):
+        positive = Program([r for r in REACH_UNREACHED.rules if r.is_positive])
+        stratified = evaluate(REACH_UNREACHED, reach_db(backend), engine="stratified")
+        seminaive = evaluate(positive, reach_db(backend), engine="seminaive")
+        unreached = stratified.database.count("Unreached")
+        assert unreached == 12
+        assert stratified.stats.rule_firings - seminaive.stats.rule_firings == unreached
