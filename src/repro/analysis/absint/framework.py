@@ -102,14 +102,9 @@ class ProgramFacts:
         computed against the shared graph (one traversal per goal, no
         per-call graph construction).
         """
-        import networkx as nx
-
-        graph = self.dependence.graph
-        out: set[str] = set()
+        out: set[str] = set(goals)
         for goal in goals:
-            if goal in graph:
-                out |= nx.ancestors(graph, goal)
-            out.add(goal)
+            out |= self.dependence.ancestors(goal)
         return frozenset(out)
 
     def join_components(self, rule: Rule) -> list[set[int]]:

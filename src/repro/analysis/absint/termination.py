@@ -176,12 +176,14 @@ class PositionGraph:
     @cached_property
     def _sccs(self) -> tuple[frozenset[Position], ...]:
         """Strongly connected components, in reverse topological order."""
-        import networkx as nx
+        from ..dependence import strongly_connected_components
 
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.positions)
-        graph.add_edges_from((e.source, e.target) for e in self.edges)
-        return tuple(frozenset(c) for c in nx.strongly_connected_components(graph))
+        adjacency = self._adjacency
+        return tuple(
+            strongly_connected_components(
+                self.positions, lambda p: (e.target for e in adjacency.get(p, ()))
+            )
+        )
 
     @cached_property
     def _scc_of(self) -> dict[Position, int]:

@@ -18,46 +18,95 @@ some rule and predicate R is in the head of that same rule."
 from __future__ import annotations
 
 from functools import cached_property
-
-import networkx as nx
+from typing import Callable, Hashable, Iterable, TypeVar
 
 from ..lang.programs import Program
 from ..lang.rules import Rule
+
+N = TypeVar("N", bound=Hashable)
+
+
+def strongly_connected_components(
+    nodes: Iterable[N], successors: Callable[[N], Iterable[N]]
+) -> list[frozenset[N]]:
+    """Tarjan's algorithm, iterative: the SCCs in reverse topological order.
+
+    A component is emitted only after every component reachable from it,
+    so sinks come first.  *successors* is called on every node reached,
+    whether or not *nodes* lists it.
+    """
+    index: dict[N, int] = {}
+    lowlink: dict[N, int] = {}
+    on_stack: set[N] = set()
+    stack: list[N] = []
+    out: list[frozenset[N]] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors(root)))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in index:
+                    index[child] = lowlink[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(successors(child))))
+                    break
+                if child in on_stack:
+                    lowlink[node] = min(lowlink[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    out.append(frozenset(component))
+    return out
 
 
 class DependenceGraph:
     """The paper's dependence graph, with recursion queries.
 
-    Edges are labelled with the polarity of the body occurrence that
-    induced them (``negative=True`` if *any* inducing occurrence is
-    negated), which the stratified extension uses.
+    ``edges[q][r]`` exists when ``q`` occurs in the body of a rule with
+    head ``r``; its value is ``True`` if *any* inducing occurrence is
+    negated, which the stratified extension uses.  Nodes and edges keep
+    the program's rule order, so every traversal is deterministic.
     """
 
     def __init__(self, program: Program):
         self.program = program
-        graph = nx.DiGraph()
-        graph.add_nodes_from(program.predicates)
+        edges: dict[str, dict[str, bool]] = {}
         for rule in program.rules:
             head = rule.head.predicate
+            edges.setdefault(head, {})
             for literal in rule.body:
-                body_pred = literal.predicate
-                if graph.has_edge(body_pred, head):
-                    if not literal.positive:
-                        graph[body_pred][head]["negative"] = True
-                else:
-                    graph.add_edge(body_pred, head, negative=not literal.positive)
-        self.graph = graph
+                successors = edges.setdefault(literal.predicate, {})
+                successors[head] = successors.get(head, False) or not literal.positive
+        self.edges = edges
+
+    @cached_property
+    def _components(self) -> list[frozenset[str]]:
+        """Every SCC, in reverse topological order."""
+        return strongly_connected_components(self.edges, self.edges.__getitem__)
 
     @cached_property
     def _cyclic_components(self) -> tuple[frozenset[str], ...]:
         out = []
-        for component in nx.strongly_connected_components(self.graph):
-            if len(component) > 1:
-                out.append(frozenset(component))
-            else:
-                (node,) = component
-                if self.graph.has_edge(node, node):
-                    out.append(frozenset(component))
+        for component in self._components:
+            node = next(iter(component))
+            if len(component) > 1 or node in self.edges[node]:
+                out.append(component)
         return tuple(out)
 
     @cached_property
@@ -98,11 +147,28 @@ class DependenceGraph:
 
     def condensation_order(self) -> tuple[frozenset[str], ...]:
         """SCCs in a topological order (useful for stratified planning)."""
-        condensed = nx.condensation(self.graph)
-        order = []
-        for node in nx.topological_sort(condensed):
-            order.append(frozenset(condensed.nodes[node]["members"]))
-        return tuple(order)
+        return tuple(reversed(self._components))
+
+    def ancestors(self, predicate: str) -> frozenset[str]:
+        """Predicates from which *predicate* is reachable (itself excluded)."""
+        predecessors = self._predecessors
+        seen: set[str] = set()
+        frontier = [predicate]
+        while frontier:
+            for source in predecessors.get(frontier.pop(), ()):
+                if source not in seen:
+                    seen.add(source)
+                    frontier.append(source)
+        seen.discard(predicate)
+        return frozenset(seen)
+
+    @cached_property
+    def _predecessors(self) -> dict[str, list[str]]:
+        out: dict[str, list[str]] = {}
+        for source, targets in self.edges.items():
+            for target in targets:
+                out.setdefault(target, []).append(source)
+        return out
 
     def has_negative_cycle(self) -> bool:
         """Whether any cycle contains a negative edge (unstratifiable)."""
@@ -116,8 +182,10 @@ class DependenceGraph:
         """
         out: set[str] = set()
         for component in self._cyclic_components:
-            for u, v, data in self.graph.edges(data=True):
-                if data.get("negative") and u in component and v in component:
-                    out.update(component)
-                    break
+            if any(
+                negative and target in component
+                for source in component
+                for target, negative in self.edges[source].items()
+            ):
+                out.update(component)
         return frozenset(out)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..lang.programs import Program
 from ..lang.rules import Rule
 from .dependence import DependenceGraph
@@ -42,12 +40,7 @@ def relevant_predicates(program: Program, goal: str) -> frozenset[str]:
     answer -- querying a predicate the program never mentions is legal
     and returns only stored facts.
     """
-    graph = DependenceGraph(program).graph
-    if goal not in graph:
-        return frozenset({goal})
-    reachable = nx.ancestors(graph, goal)
-    reachable.add(goal)
-    return frozenset(reachable)
+    return DependenceGraph(program).ancestors(goal) | {goal}
 
 
 def restrict_to_goal(program: Program, goal: str) -> RelevanceResult:

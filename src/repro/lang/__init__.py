@@ -27,6 +27,7 @@ from .parser import (
     ParsedProgram,
     SourceSpan,
     parse_atom,
+    parse_facts,
     parse_program,
     parse_program_with_spans,
     parse_rule,
@@ -38,6 +39,7 @@ from .pretty import (
     format_atom,
     format_atoms,
     format_database,
+    format_facts,
     format_program,
     format_rule,
     format_tgd,
@@ -103,6 +105,7 @@ __all__ = [
     "format_atom",
     "format_atoms",
     "format_database",
+    "format_facts",
     "format_program",
     "format_rule",
     "format_tgd",
@@ -114,6 +117,7 @@ __all__ = [
     "modulo_body_order",
     "namespace",
     "parse_atom",
+    "parse_facts",
     "parse_program",
     "parse_program_with_spans",
     "parse_rule",

@@ -7,11 +7,13 @@ used by the CLI, the examples, and EXPERIMENTS.md generation.
 
 from __future__ import annotations
 
-from typing import Iterable, TYPE_CHECKING
+from itertools import chain
+from typing import Collection, Iterable, TYPE_CHECKING
 
 from .atoms import Atom
 from .programs import Program
 from .rules import Rule
+from .terms import term_sort_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..core.tgds import Tgd
@@ -52,20 +54,74 @@ def format_tgd(tgd: "Tgd") -> str:
     return f"{lhs} -> {rhs}"
 
 
+def _fact_texts(
+    relations: list[tuple[str, Collection[tuple]]], decode=None, sort: bool = True
+) -> list[tuple[str, list[str]]]:
+    """``(predicate, fact texts)`` for each ``(predicate, rows)`` of *relations*.
+
+    The rows of one relation share one arity.  With *sort*, they come in
+    :func:`term_sort_key` order -- :meth:`Atom.sort_key` order, the
+    predicate and arity being fixed.  *decode* maps a tuple of stored
+    values to Terms (a database's ``decode_row``); ``None`` means the
+    values already are Terms.
+
+    Each distinct value object is decoded, ranked and printed once, and
+    the per-row work runs in C (``map``/``zip``/``join``).  The memo is
+    keyed by ``id()``: hashing a Term dataclass runs Python code, and the
+    rows keep every keyed object alive for the whole call.  Equal values
+    held by different objects share one rank.
+    """
+    relations = [(predicate, list(rows)) for predicate, rows in relations]
+    flat = list(chain.from_iterable(chain.from_iterable(rows for _p, rows in relations)))
+    values = list(dict(zip(map(id, flat), flat)).values())
+    terms = values if decode is None else decode(tuple(values))
+    keys = [term_sort_key(term) for term in terms]
+    rank: dict[int, int] = {}
+    text: dict[int, str] = {}
+    previous, current = None, -1
+    for i in sorted(range(len(values)), key=keys.__getitem__):
+        if keys[i] != previous:
+            previous = keys[i]
+            current = len(rank)
+        rank[id(values[i])] = current
+        text[id(values[i])] = str(terms[i])
+    out = []
+    for predicate, rows in relations:
+        arity = len(rows[0]) if rows else 0
+        if arity == 0:
+            out.append((predicate, [f"{predicate}()"] * len(rows)))
+            continue
+        ids = list(map(id, chain.from_iterable(rows)))
+        args = map(", ".join, zip(*[map(text.__getitem__, ids)] * arity))
+        texts = [f"{predicate}({inner})" for inner in args]
+        if sort:
+            row_ranks = list(zip(*[map(rank.__getitem__, ids)] * arity))
+            texts = [texts[i] for i in sorted(range(len(texts)), key=row_ranks.__getitem__)]
+        out.append((predicate, texts))
+    return out
+
+
+def _database_texts(db: "Database", sort: bool) -> list[tuple[str, list[str]]]:
+    """:func:`_fact_texts` of every predicate of *db*, by predicate name."""
+    return _fact_texts([(p, db.tuples(p)) for p in sorted(db.predicates)], db.decode_row, sort)
+
+
 def format_atoms(atoms: Iterable[Atom], sort: bool = True) -> str:
-    """Render a set of ground atoms as ``{A(1,2), G(1,4), ...}``."""
-    items = list(atoms)
-    if sort:
-        items.sort(key=lambda a: a.sort_key())
-    inner = ", ".join(str(a) for a in items)
-    return "{" + inner + "}"
+    """Render a set of atoms as ``{A(1,2), G(1,4), ...}``, in :meth:`Atom.sort_key` order."""
+    if not sort:
+        return "{" + ", ".join(str(a) for a in atoms) + "}"
+    groups: dict[tuple[str, int], list[tuple]] = {}
+    for atom in atoms:
+        groups.setdefault((atom.predicate, atom.arity), []).append(atom.args)
+    relations = [(pred, groups[pred, arity]) for pred, arity in sorted(groups)]
+    return "{" + ", ".join(t for _pred, texts in _fact_texts(relations) for t in texts) + "}"
 
 
 def format_database(db: "Database", sort: bool = True) -> str:
     """Render a database grouped by predicate, one predicate per line."""
-    lines = []
-    for pred in sorted(db.predicates):
-        atoms = sorted(db.atoms_for(pred), key=lambda a: a.sort_key()) if sort else db.atoms_for(pred)
-        inner = ", ".join(str(a) for a in atoms)
-        lines.append(f"{pred}: {inner}")
-    return "\n".join(lines)
+    return "\n".join(f"{pred}: {', '.join(texts)}" for pred, texts in _database_texts(db, sort))
+
+
+def format_facts(db: "Database") -> str:
+    """Render a database one fact per line, in :meth:`Atom.sort_key` order."""
+    return "\n".join(text for _pred, texts in _database_texts(db, True) for text in texts)

@@ -52,14 +52,15 @@ class Constant:
     """A Datalog constant.
 
     The paper assumes constants are integers; for usability this library
-    also accepts strings (written single-quoted in source text).
+    also accepts strings, printed single-quoted with ``\\`` and ``'``
+    backslash-escaped so that the text parses back to the same value.
     """
 
     value: Union[int, str]
 
     def __str__(self) -> str:
         if isinstance(self.value, str):
-            return f"'{self.value}'"
+            return "'" + self.value.replace("\\", "\\\\").replace("'", "\\'") + "'"
         return str(self.value)
 
     def __repr__(self) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.analysis import (
     DependenceGraph,
@@ -12,6 +13,7 @@ from repro.analysis import (
     profile,
     shares_initialization_rules,
 )
+from repro.analysis.dependence import strongly_connected_components
 from repro.errors import ParseError
 from repro.lang import parse_program
 
@@ -61,6 +63,21 @@ class TestDependenceGraph:
         flat = [pred for component in order for pred in component]
         assert flat.index("P") < flat.index("Q") < flat.index("R")
 
+    def test_ancestors(self):
+        program = parse_program(
+            """
+            P(x) :- A(x).
+            Q(x) :- P(x), B(x).
+            R(x) :- Q(x), R(x).
+            S(x) :- C(x).
+            """
+        )
+        graph = DependenceGraph(program)
+        assert graph.ancestors("R") == {"A", "B", "P", "Q"}  # itself excluded
+        assert graph.ancestors("Q") == {"A", "B", "P"}
+        assert graph.ancestors("A") == frozenset()
+        assert graph.ancestors("Unknown") == frozenset()
+
     def test_negative_cycle_detection(self):
         program = parse_program(
             """
@@ -78,6 +95,32 @@ class TestDependenceGraph:
             """
         )
         assert not DependenceGraph(program).has_negative_cycle()
+
+
+def _reachable(edges: dict[int, set[int]], start: int) -> set[int]:
+    seen, frontier = {start}, [start]
+    while frontier:
+        for nxt in edges[frontier.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20))
+def test_tarjan_matches_mutual_reachability(pairs):
+    edges: dict[int, set[int]] = {n: set() for n in range(8)}
+    for source, target in pairs:
+        edges[source].add(target)
+    components = strongly_connected_components(edges, edges.__getitem__)
+    reach = {n: _reachable(edges, n) for n in edges}
+    expected = {frozenset(m for m in edges if n in reach[m] and m in reach[n]) for n in edges}
+    assert set(components) == expected
+    assert len(components) == len(expected)
+    # Reverse topological: nothing reaches into an earlier component.
+    position = {n: i for i, component in enumerate(components) for n in component}
+    for source, target in pairs:
+        assert position[target] <= position[source]
 
 
 class TestProfile:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -101,6 +104,24 @@ class TestEval:
         code = main(["eval", files("tc.dl", TC), "--edb", files("bad.dl", TC)])
         assert code == 2
         assert "non-fact" in capsys.readouterr().err
+
+
+    def test_networkx_is_never_imported(self, files):
+        # The dependence graph is stdlib-only; a CLI start must not pay
+        # for a graph library, even on a recursive program.
+        edb = files("pts.dl", "Addr(1, 10).\nAddr(2, 20).\nCopy(3, 1).\nStore(3, 2).\nLoad(4, 3).\n")
+        script = (
+            "import sys, repro.cli\n"
+            f"code = repro.cli.main(['eval', {str(EXAMPLES_DIR / 'points_to.dl')!r}, '--edb', {edb!r}])\n"
+            "assert code == 0, code\n"
+            "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(EXAMPLES_DIR.parent / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Pts: " in result.stdout
 
 
 class TestMinimize:

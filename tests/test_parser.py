@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ParseError
 from repro.lang import (
@@ -37,6 +38,19 @@ class TestAtoms:
 
     def test_zero_arity(self):
         assert parse_atom("Done()") == Atom("Done", ())
+
+    def test_quote_and_backslash_print_escaped(self):
+        assert str(Atom.of("N", "it's", "x\\")) == "N('it\\'s', 'x\\\\')"
+
+    @given(
+        st.lists(
+            st.one_of(st.text(), st.text(alphabet="'\"\\ab"), st.integers()),
+            max_size=4,
+        )
+    )
+    def test_string_constants_round_trip_through_str(self, values):
+        atom = Atom.of("N", *values)
+        assert parse_atom(str(atom)) == atom
 
     def test_mixed_terms(self):
         atom = parse_atom("Q(x, y, 3, 10)")
